@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from ..exec import backend_for
 from ..perf import PerfTelemetry
 from ..store.fingerprint import ANALYSIS_CODE_MODULES, config_key
-from ..store.store import ResultStore, resolve_store
+from ..store.store import ResultStore, cached_map, resolve_store
 from .base import (
     Finding,
     ModuleChecker,
@@ -228,14 +228,17 @@ def _check_file_worker(
     return path, _check_file_record(path, source, module_rule_ids)
 
 
-def _valid_record(body: object) -> bool:
-    return (
+def _decode_record(body: object) -> Dict[str, object]:
+    """A cached per-file record, or ``ValueError`` if it is not one."""
+    if not (
         isinstance(body, dict)
         and body.get("version") == _RECORD_VERSION
         and isinstance(body.get("findings"), list)
         and isinstance(body.get("suppressions"), dict)
         and isinstance(body.get("summary"), dict)
-    )
+    ):
+        raise ValueError("not a lint record")
+    return body
 
 
 def _record_key(
@@ -432,39 +435,33 @@ def run_lint(
     store = resolve_store(cache)
     module_ids, _tree = _split_rules(rules)
 
-    records: Dict[str, Dict[str, object]] = {}
-    stale: List[str] = []
-    keys: Dict[str, str] = {}
+    paths = list(sources)
+
+    def check(missing: List[int]) -> List[Dict[str, object]]:
+        with telemetry.stage("parse"):
+            fresh = _check_files(
+                [(paths[i], sources[paths[i]]) for i in missing],
+                module_ids,
+                jobs,
+                telemetry,
+            )
+        return [fresh[paths[i]] for i in missing]
+
+    # The cache stage spans the whole cached run, misses' parse included.
     with telemetry.stage("cache"):
-        if store is not None:
-            keys = {
-                rel: _record_key(rel, source, module_ids)
-                for rel, source in sources.items()
-            }
-            if refresh:
-                stale = list(sources)
-            else:
-                for rel in sources:
-                    body = store.get(keys[rel], touch=False)
-                    if _valid_record(body):
-                        records[rel] = body  # type: ignore[assignment]
-                    else:
-                        stale.append(rel)
-                store.touch_many([keys[rel] for rel in records])
-        else:
-            stale = list(sources)
-    with telemetry.stage("parse"):
-        fresh = _check_files(
-            [(rel, sources[rel]) for rel in stale],
-            module_ids,
-            jobs,
-            telemetry,
+        keys = [
+            _record_key(rel, sources[rel], module_ids)
+            if store is not None else None
+            for rel in paths
+        ]
+        values, hits = cached_map(
+            store, keys, check,
+            encode=lambda record: record, decode=_decode_record,
+            refresh=refresh,
         )
-    records.update(fresh)
-    if store is not None and fresh:
-        store.put_many({keys[rel]: fresh[rel] for rel in fresh})
-    telemetry.count("lint.cache.hits", len(records) - len(fresh))
-    telemetry.count("lint.cache.misses", len(fresh))
+    records = dict(zip(paths, values))
+    telemetry.count("lint.cache.hits", sum(hits))
+    telemetry.count("lint.cache.misses", len(hits) - sum(hits))
 
     baseline = None
     if use_baseline:

@@ -334,6 +334,47 @@ def sweep(
     return RunResult("sweep", result, manifest, scenario=scenario)
 
 
+def _replayable_run(
+    kind: str, result_type, obs, cache, refresh: bool, *, key, run, manifest
+) -> RunResult:
+    """One replay-deterministic run, cached with its whole manifest.
+
+    Caching is gated on the *default* obs path: a caller-supplied
+    context expects to observe a live run, and a cached replay cannot
+    retroactively fill it.  With the default deterministic context the
+    full manifest (obs sections included) is stored alongside the
+    result, so a warm run is byte-identical to the cold one — the
+    replay contract survives caching.  ``key()`` returns the store key,
+    or ``None`` when the request is uncacheable; ``run(obs)`` computes
+    the result and ``manifest(result, obs)`` builds its manifest.
+    """
+    from .store import cached_map
+
+    store = None
+    if obs is None:
+        obs = ObsContext.enabled(deterministic=True)
+        store = _resolve_store(cache)
+
+    def compute(_missing):
+        result = run(obs)
+        return [(result, manifest(result, obs))]
+
+    [(result, built)], _ = cached_map(
+        store,
+        [key() if store is not None else None],
+        compute,
+        encode=lambda value: {
+            "result": value[0].to_dict(), "manifest": value[1].to_dict(),
+        },
+        decode=lambda body: (
+            result_type.from_dict(body["result"]),
+            RunManifest.from_dict(body["manifest"]),
+        ),
+        refresh=refresh,
+    )
+    return RunResult(kind, result, built)
+
+
 def _chaos_store_key(
     plan: FaultPlan, scenario_name: str, seed: int, kwargs: Dict[str, object]
 ) -> Optional[str]:
@@ -394,42 +435,23 @@ def chaos(
     """
     from .faults.chaos import ChaosResult, chaos_manifest, run_chaos
 
-    # Caching is gated on the *default* obs path: a caller-supplied
-    # context expects to observe a live run, and a cached replay cannot
-    # retroactively fill it.  With the default deterministic context
-    # the full manifest (obs sections included) is stored alongside the
-    # result, so a warm chaos run is byte-identical to the cold one —
-    # the replay contract survives caching.
-    store = key = None
-    cacheable = obs is None and not legacy
-    if cacheable:
-        store = _resolve_store(cache)
-        obs = ObsContext.enabled(deterministic=True)
-    if store is not None:
-        key = _chaos_store_key(plan, scenario_name, seed, kwargs)
-    if key is not None and not refresh:
-        body = store.get(key)
-        if body is not None:
-            try:
-                result = ChaosResult.from_dict(body["result"])
-                manifest = RunManifest.from_dict(body["manifest"])
-            except (KeyError, TypeError, ValueError):
-                pass  # malformed entry: fall through to a live run
-            else:
-                return RunResult("chaos", result, manifest)
-    result = run_chaos(
-        plan, scenario_name=scenario_name, seed=seed, obs=obs, **kwargs
-    )
+    def run(run_obs: Optional[ObsContext]):
+        return run_chaos(
+            plan, scenario_name=scenario_name, seed=seed, obs=run_obs,
+            **kwargs,
+        )
+
     if legacy:
         _legacy_warning("chaos")
-        return result
-    manifest = chaos_manifest(result, plan, obs=obs)
-    if key is not None:
-        store.put(
-            key,
-            {"result": result.to_dict(), "manifest": manifest.to_dict()},
-        )
-    return RunResult("chaos", result, manifest)
+        return run(obs)
+    return _replayable_run(
+        "chaos", ChaosResult, obs, cache, refresh,
+        key=lambda: _chaos_store_key(plan, scenario_name, seed, kwargs),
+        run=run,
+        manifest=lambda result, run_obs: chaos_manifest(
+            result, plan, obs=run_obs
+        ),
+    )
 
 
 def _relay_store_key(chain, engine: BatchSolverEngine) -> Optional[str]:
@@ -480,34 +502,17 @@ def solve_relay(
     from .relay.solver import RelayDecision, RelaySolver, relay_manifest
 
     eng = engine or default_engine()
-    store = key = None
-    cacheable = obs is None and not legacy
-    if cacheable:
-        store = _resolve_store(cache)
-        obs = ObsContext.enabled(deterministic=True)
-    if store is not None:
-        key = _relay_store_key(chain, eng)
-    if key is not None and not refresh:
-        body = store.get(key)
-        if body is not None:
-            try:
-                result = RelayDecision.from_dict(body["result"])
-                manifest = RunManifest.from_dict(body["manifest"])
-            except (KeyError, TypeError, ValueError):
-                pass  # malformed entry: fall through to a live run
-            else:
-                return RunResult("relay", result, manifest)
-    result = RelaySolver(eng).solve(chain, obs=obs)
     if legacy:
         _legacy_warning("solve_relay")
-        return result
-    manifest = relay_manifest(result, chain, obs=obs)
-    if key is not None:
-        store.put(
-            key,
-            {"result": result.to_dict(), "manifest": manifest.to_dict()},
-        )
-    return RunResult("relay", result, manifest)
+        return RelaySolver(eng).solve(chain, obs=obs)
+    return _replayable_run(
+        "relay", RelayDecision, obs, cache, refresh,
+        key=lambda: _relay_store_key(chain, eng),
+        run=lambda run_obs: RelaySolver(eng).solve(chain, obs=run_obs),
+        manifest=lambda result, run_obs: relay_manifest(
+            result, chain, obs=run_obs
+        ),
+    )
 
 
 def utility_curve(

@@ -37,7 +37,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan"]
+from ..sim.random import RandomStreams
+
+__all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "replica_outage_plan"]
 
 #: The fault taxonomy (see docs/ROBUSTNESS.md).
 FAULT_KINDS = (
@@ -251,6 +253,36 @@ class FaultPlan:
                     FaultSpec("link_outage", t, duration, target=target)
                 )
         return cls(name=name, seed=seed, faults=tuple(specs))
+
+
+def replica_outage_plan(
+    seed: int,
+    replica: int,
+    horizon_s: float,
+    rate_per_s: float,
+    mean_duration_s: float,
+) -> FaultPlan:
+    """The outage plan of *global* replica ``replica`` of a campaign.
+
+    The fault stream is keyed to the replica's global index, never to
+    the shard that happens to execute it or to pool completion order,
+    so the same campaign yields bit-identical plans for any worker
+    count or block size.  The named ``faults.outage`` stream is
+    independent of the shard streams even where fork salts collide, so
+    enabling faults perturbs nothing else.  A zero rate is an empty
+    plan (no draws).
+    """
+    if rate_per_s == 0:
+        return FaultPlan(name=f"replica{replica}", seed=seed)
+    rng = RandomStreams(seed).fork(replica + 1).get("faults.outage")
+    return FaultPlan.sampled_outages(
+        rng,
+        horizon_s=horizon_s,
+        rate_per_s=rate_per_s,
+        mean_duration_s=mean_duration_s,
+        name=f"replica{replica}",
+        seed=seed,
+    )
 
 
 def merge_plans(name: str, plans: Iterable[FaultPlan]) -> FaultPlan:

@@ -27,7 +27,7 @@ engine — the baseline for the speedup and agreement numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from ..channel.channel import (
 )
 from ..exec import ArrayPayload, backend_for
 from ..faults.outage import BatchOutageSchedule
-from ..faults.plan import FaultPlan
+from ..faults.plan import replica_outage_plan
 from ..net.batchlink import BatchWirelessLink
 from ..net.iperf import IperfSession
 from ..net.link import WirelessLink
@@ -186,28 +186,6 @@ def _shard_streams(config: BatchCampaignConfig, shard: int) -> RandomStreams:
     return RandomStreams(config.seed).fork(shard + 1)
 
 
-def _replica_fault_plan(config: BatchCampaignConfig, g: int) -> FaultPlan:
-    """The outage plan of *global* replica ``g`` — pool-layout free.
-
-    The fault stream is keyed to the replica's global index (its
-    position in the flattened (distance, replica) case list), never to
-    the shard that happens to execute it or to pool completion order.
-    Named streams make ``faults.outage`` independent of the shard
-    streams (``channel.*``, ``link.delivery``) even where fork salts
-    collide, so enabling faults perturbs nothing else — and the same
-    config yields bit-identical campaigns for any worker count.
-    """
-    rng = RandomStreams(config.seed).fork(g + 1).get("faults.outage")
-    return FaultPlan.sampled_outages(
-        rng,
-        horizon_s=config.duration_s,
-        rate_per_s=config.outage_rate_per_s,
-        mean_duration_s=config.outage_mean_duration_s,
-        name=f"replica{g}",
-        seed=config.seed,
-    )
-
-
 def _shard_outages(
     config: BatchCampaignConfig, shard: int, n_replicas: int
 ) -> Optional[BatchOutageSchedule]:
@@ -217,7 +195,13 @@ def _shard_outages(
     first_g = shard * config.block_size
     return BatchOutageSchedule(
         [
-            _replica_fault_plan(config, first_g + offset).outage_windows_s()
+            replica_outage_plan(
+                config.seed,
+                first_g + offset,
+                horizon_s=config.duration_s,
+                rate_per_s=config.outage_rate_per_s,
+                mean_duration_s=config.outage_mean_duration_s,
+            ).outage_windows_s()
             for offset in range(n_replicas)
         ]
     )
@@ -232,11 +216,11 @@ def _shard_obs(
 ) -> ObsContext:
     """The deterministic obs context describing one shard's work.
 
-    Shared by the live worker and the store-restore path in
-    :func:`run_campaign`, so a shard replayed from the persistent cache
-    contributes the identical span and ``campaign.*`` counters a live
-    shard would — merged campaign observability is invariant to cache
-    state.
+    Built by the parent from each shard's output, live or restored from
+    the persistent store, so a cached shard contributes the identical
+    span and ``campaign.*`` counters a live shard would — merged
+    campaign observability is invariant to cache state and worker
+    count.
     """
     obs = ObsContext.enabled(deterministic=True)
     with obs.tracer.span(
@@ -254,25 +238,16 @@ def _run_replica_block(
     config: BatchCampaignConfig,
     shard: int,
     distances_m: Tuple[float, ...],
-    collect_obs: bool = False,
-) -> Tuple[
-    Dict[float, List[float]],
-    PerfTelemetry,
-    Optional[ObsContext],
-    Dict[str, object],
-]:
+) -> Tuple[Dict[float, List[float]], PerfTelemetry, Dict[str, object]]:
     """One pool task: a block of replicas stepped in one batched link.
 
     ``distances_m`` holds one entry per replica — replicas of different
     distances ride in the same batch.  Top-level (picklable) so it can
     cross a process boundary; also the sequential fallback path.
 
-    ``collect_obs`` makes the worker fill a *deterministic* obs context
-    (span per shard, ``campaign.*`` metrics) shipped back to the parent
-    for merging — deterministic so the merged summary is invariant to
-    worker count and pool completion order.  The trailing meta dict
-    (``steps``, ``sim_end_s``) is what the persistent store needs to
-    replay the shard's observability without re-running it.
+    The trailing meta dict (``steps``, ``sim_end_s``) is what the
+    parent needs to build the shard's observability (:func:`_shard_obs`)
+    — for a live shard and for one replayed from the persistent store.
     """
     n_replicas = len(distances_m)
     telemetry = PerfTelemetry()
@@ -318,25 +293,7 @@ def _run_replica_block(
     telemetry.count("mean_cache_hits", channel.mean_cache_hits)
     telemetry.count("mean_cache_misses", channel.mean_cache_misses)
     telemetry.count("shards")
-    obs = (
-        _shard_obs(shard, samples, steps, n_replicas, now)
-        if collect_obs
-        else None
-    )
-    return samples, telemetry, obs, {"steps": steps, "sim_end_s": now}
-
-
-def _run_block_task(
-    args: Tuple,
-) -> Tuple[
-    Dict[float, List[float]],
-    PerfTelemetry,
-    Optional[ObsContext],
-    Dict[str, object],
-]:
-    """Unpack helper for backend ``map`` over shard tuples."""
-    config, shard, distances_m, collect_obs = args
-    return _run_replica_block(config, shard, distances_m, collect_obs)
+    return samples, telemetry, {"steps": steps, "sim_end_s": now}
 
 
 def _run_block_task_exec(args: Tuple) -> ArrayPayload:
@@ -345,12 +302,12 @@ def _run_block_task_exec(args: Tuple) -> ArrayPayload:
     The per-distance reading lists are flattened into three arrays
     (``distances`` / ``lengths`` / ``values``) so the bulk of a
     shard's output can ride the execution backend's shared-memory
-    transport; telemetry, obs context and replay meta stay in the
-    (small) pickled ``meta`` side.  :func:`_decode_block_output`
+    transport; telemetry and replay meta stay in the (small) pickled
+    ``meta`` side.  :func:`_decode_block_output`
     inverts this exactly — float64 in, float64 out — which keeps
     serial and pooled campaigns bit-identical.
     """
-    samples, telemetry, obs, meta = _run_block_task(args)
+    samples, telemetry, meta = _run_replica_block(*args)
     keys = list(samples)
     values = (
         np.concatenate(
@@ -367,13 +324,13 @@ def _run_block_task_exec(args: Tuple) -> ArrayPayload:
             ),
             "values": values,
         },
-        meta=(telemetry, obs, meta),
+        meta=(telemetry, meta),
     )
 
 
 def _decode_block_output(payload: ArrayPayload) -> Tuple:
-    """Rebuild the worker 4-tuple from its wire payload."""
-    telemetry, obs, meta = payload.meta
+    """Rebuild the worker 3-tuple from its wire payload."""
+    telemetry, meta = payload.meta
     distances = payload.arrays["distances"].tolist()
     lengths = payload.arrays["lengths"].tolist()
     values = payload.arrays["values"]
@@ -382,7 +339,7 @@ def _decode_block_output(payload: ArrayPayload) -> Tuple:
     for distance, n in zip(distances, lengths):
         samples[distance] = values[pos:pos + n].tolist()
         pos += n
-    return samples, telemetry, obs, meta
+    return samples, telemetry, meta
 
 
 # ----------------------------------------------------------------------
@@ -416,11 +373,8 @@ def _shard_store_key(
     )
 
 
-def _shard_store_body(
-    samples: Dict[float, List[float]],
-    telemetry: PerfTelemetry,
-    meta: Dict[str, object],
-) -> dict:
+def _encode_shard(output: Tuple) -> dict:
+    samples, telemetry, meta = output
     return {
         "samples": [[d, readings] for d, readings in samples.items()],
         "counters": dict(telemetry.counters),
@@ -429,42 +383,22 @@ def _shard_store_body(
     }
 
 
-def _restore_shard(
-    shard: int,
-    distances_m: Tuple[float, ...],
-    body: Optional[dict],
-    collect_obs: bool,
-) -> Optional[Tuple]:
-    """Rehydrate one shard's worker output from a store entry.
+def _decode_shard(body: dict) -> Tuple:
+    """The worker 3-tuple from one store entry (raises if malformed).
 
-    Returns the same 4-tuple a live worker produces (samples in the
-    worker's insertion order, replayed telemetry counters, a rebuilt
-    deterministic obs context) or ``None`` when the body is malformed —
-    the caller then just re-runs the shard.
+    Samples keep the worker's insertion order and the telemetry
+    counters are replayed, so a restored shard merges exactly like a
+    live one.
     """
-    if body is None:
-        return None
-    try:
-        steps = int(body["steps"])
-        sim_end_s = float(body["sim_end_s"])
-        samples = {
-            float(distance): [float(x) for x in readings]
-            for distance, readings in body["samples"]
-        }
-        counters = {
-            str(k): int(v) for k, v in dict(body["counters"]).items()
-        }
-    except (KeyError, TypeError, ValueError):
-        return None
+    samples = {
+        float(distance): [float(x) for x in readings]
+        for distance, readings in body["samples"]
+    }
     telemetry = PerfTelemetry()
-    for name, value in counters.items():
-        telemetry.count(name, value)
-    obs = (
-        _shard_obs(shard, samples, steps, len(distances_m), sim_end_s)
-        if collect_obs
-        else None
-    )
-    return samples, telemetry, obs, {"steps": steps, "sim_end_s": sim_end_s}
+    for name, value in dict(body["counters"]).items():
+        telemetry.count(str(name), int(value))
+    meta = {"steps": int(body["steps"]), "sim_end_s": float(body["sim_end_s"])}
+    return samples, telemetry, meta
 
 
 # ----------------------------------------------------------------------
@@ -490,100 +424,77 @@ def run_campaign(
     backend degrades to the sequential path and still returns full
     results.
 
-    ``obs`` collects per-shard spans and ``campaign.*`` metrics: each
-    worker fills a deterministic context, the parent merges them all
-    into ``obs``, so the aggregate is invariant to worker count.
+    ``obs`` collects per-shard spans and ``campaign.*`` metrics: the
+    parent builds one deterministic context per shard and merges them
+    in shard order, so the aggregate is invariant to worker count.
 
     ``cache``/``refresh`` control the persistent result store (see
-    :mod:`repro.api`): cached shards are restored without running,
-    only missing shards are dispatched to the pool, and outputs merge
-    in shard order — warm samples are bit-identical to the cold run's.
+    :mod:`repro.api`): shards go through
+    :func:`~repro.store.cached_map`, so cached shards are restored
+    without running, only missing shards are dispatched to the pool,
+    and outputs merge in shard order — warm samples are bit-identical
+    to the cold run's.
     """
-    from ..store import StoreReport, record_store_metrics, resolve_store
+    from ..store import (
+        StoreReport,
+        cached_map,
+        record_store_metrics,
+        resolve_store,
+    )
 
     t_start = wall_clock()
     store = resolve_store(cache)
     shards = config.shards()
-    collect = obs is not None
-    restored: Dict[int, Tuple] = {}
     before = store.snapshot_counters() if store is not None else {}
-    keys: Dict[int, str] = {}
-    if store is not None:
-        keys = {
-            shard: _shard_store_key(config, shard, distances)
-            for shard, distances in shards
-        }
-        if not refresh:
-            touched = []
-            for shard, distances in shards:
-                entry = _restore_shard(
-                    shard, distances, store.get(keys[shard], touch=False),
-                    collect,
-                )
-                if entry is not None:
-                    restored[shard] = entry
-                    touched.append(keys[shard])
-            store.touch_many(touched)
-    run_span = None
-    if obs is not None and obs.tracer is not None:
-        run_span = obs.tracer.span("campaign.run", sim_start_s=0.0)
-        run_span.__enter__()
-    tasks = [
-        (config, shard, distances, collect)
+    keys = [
+        _shard_store_key(config, shard, distances) if store is not None
+        else None
         for shard, distances in shards
-        if shard not in restored
     ]
-    try:
-        live = [
+
+    def run_missing(missing: List[int]) -> List[Tuple]:
+        return [
             _decode_block_output(payload)
             for payload in backend_for(max_workers).map(
                 _run_block_task_exec,
-                tasks,
+                [(config, *shards[i]) for i in missing],
                 parallel=parallel,
                 family="campaign.shard",
             )
         ]
+
+    run_span = None
+    if obs is not None and obs.tracer is not None:
+        run_span = obs.tracer.span("campaign.run", sim_start_s=0.0)
+        run_span.__enter__()
+    try:
+        outputs, hits = cached_map(
+            store, keys, run_missing,
+            encode=_encode_shard, decode=_decode_shard, refresh=refresh,
+        )
     finally:
         if run_span is not None:
             run_span.annotate(shards=len(shards))
             run_span.end_sim(config.duration_s)
             run_span.__exit__(None, None, None)
-    if store is not None and live:
-        store.put_many(
-            {
-                keys[task[1]]: _shard_store_body(out[0], out[1], out[3])
-                for task, out in zip(tasks, live)
-            }
-        )
 
-    # Merge in shard order regardless of which side produced the output.
-    by_shard = dict(restored)
-    for task, out in zip(tasks, live):
-        by_shard[task[1]] = out
-    outputs = [by_shard[shard] for shard, _ in shards]
     samples: Dict[float, List[float]] = {}
-    telemetry = PerfTelemetry.merged(tel for _, tel, _, _ in outputs)
-    for shard_samples, _, _, _ in outputs:
+    telemetry = PerfTelemetry.merged(tel for _, tel, _ in outputs)
+    for shard_samples, _, _ in outputs:
         for distance, readings in shard_samples.items():
             samples.setdefault(distance, []).extend(readings)
     if obs is not None:
-        obs.merge(ObsContext.merged(part for _, _, part, _ in outputs))
+        obs.merge(ObsContext.merged(
+            _shard_obs(shard, out[0], out[2]["steps"], len(distances),
+                       out[2]["sim_end_s"])
+            for (shard, distances), out in zip(shards, outputs)
+        ))
         _record_campaign_totals(obs, config)
         if store is not None:
-            warm = sum(
-                len(distances)
-                for shard, distances in shards
-                if shard in restored
-            )
-            total = sum(len(distances) for _, distances in shards)
             record_store_metrics(
                 obs, store, before,
-                StoreReport(
-                    enabled=True,
-                    points=total,
-                    warm_points=warm,
-                    entry_hits=len(restored),
-                    entry_misses=len(shards) - len(restored),
+                StoreReport.from_hits(
+                    [len(distances) for _, distances in shards], hits
                 ),
             )
     return BatchCampaignResult(

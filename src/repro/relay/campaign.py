@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..exec import backend_for
-from ..faults.plan import FaultPlan
+from ..faults.plan import replica_outage_plan
 from ..obs import ObsContext, RunManifest
-from ..sim.random import RandomStreams
 from .chain import RelayChain
 from .solver import RelayDecision, RelaySolver
 from .transfer import RelayTransferResult, run_relay_transfer
@@ -153,24 +152,6 @@ class RelayCampaignResult:
 # Workers
 # ----------------------------------------------------------------------
 
-def _replica_fault_plan(config: RelayCampaignConfig, g: int) -> FaultPlan:
-    """The outage plan of *global* replica ``g`` — pool-layout free.
-
-    Keyed to the replica's global index exactly like the measurement
-    campaigns: the same config yields bit-identical plans for any
-    worker count or block size.
-    """
-    rng = RandomStreams(config.seed).fork(g + 1).get("faults.outage")
-    return FaultPlan.sampled_outages(
-        rng,
-        horizon_s=config.horizon_s,
-        rate_per_s=config.outage_rate_per_s,
-        mean_duration_s=config.outage_mean_duration_s,
-        name=f"replica{g}",
-        seed=config.seed,
-    )
-
-
 def _shard_obs(
     shard: int, results: List[RelayTransferResult]
 ) -> ObsContext:
@@ -201,7 +182,13 @@ def _run_shard_task(
     results = [
         run_relay_transfer(
             chain,
-            _replica_fault_plan(config, g),
+            replica_outage_plan(
+                config.seed,
+                g,
+                horizon_s=config.horizon_s,
+                rate_per_s=config.outage_rate_per_s,
+                mean_duration_s=config.outage_mean_duration_s,
+            ),
             seed=config.seed + g,
             decision=decision,
             epoch_s=config.epoch_s,

@@ -29,6 +29,7 @@ from .store import (
     DEFAULT_MAX_BYTES,
     ResultStore,
     cache_enabled_by_env,
+    cached_map,
     default_cache_dir,
     default_store,
     resolve_store,
@@ -48,6 +49,7 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "cache_enabled_by_env",
+    "cached_map",
     "canonical_json",
     "code_fingerprint",
     "config_key",

@@ -2,10 +2,11 @@
 
 The flow mirrors the batch engine's in-memory memoisation, one level
 up and durable across processes: requested points are partitioned into
-*cached* and *missing* groups, only the missing ones are dispatched to
-the engine (in a single ``solve_batch`` call, so a fully cold run
-executes exactly the code path an uncached run would), and results are
-merged back in request order.
+*cached* and *missing* groups by :func:`~repro.store.store.cached_map`,
+only the missing ones are dispatched to the engine (in a single
+``solve_batch`` call, so a fully cold run executes exactly the code
+path an uncached run would), and results are merged back in request
+order.
 
 Granularity
 -----------
@@ -40,14 +41,15 @@ already has (see docs/PERFORMANCE.md).
 from __future__ import annotations
 
 import base64
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple,
+)
 
 import numpy as np
 
 from .fingerprint import SOLVER_CODE_MODULES, config_key
-from .store import ResultStore
+from .store import ResultStore, _maybe_span, cached_map
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.optimizer import OptimalDecision
@@ -107,11 +109,16 @@ class StoreReport:
         """Points that had to be dispatched to the engine."""
         return self.points - self.warm_points
 
-
-def _maybe_span(obs: Optional["ObsContext"], name: str, **attrs):
-    if obs is not None and obs.tracer is not None:
-        return obs.tracer.span(name, **attrs)
-    return nullcontext()
+    @classmethod
+    def from_hits(cls, widths: List[int], hits: List[bool]) -> "StoreReport":
+        """The report of entries of ``widths`` points with hit flags."""
+        return cls(
+            enabled=True,
+            points=sum(widths),
+            warm_points=sum(w for w, hit in zip(widths, hits) if hit),
+            entry_hits=sum(hits),
+            entry_misses=len(hits) - sum(hits),
+        )
 
 
 def record_store_metrics(
@@ -160,29 +167,33 @@ def _decode_column(data: str, n: int) -> np.ndarray:
     return values
 
 
-def _group_body(result: "BatchResult", start: int, stop: int) -> dict:
+#: One entry's decoded value: its columns and the solver tolerance.
+_Group = Tuple[Dict[str, np.ndarray], float]
+
+
+def _encode_group(group: _Group) -> dict:
+    columns, tolerance = group
     return {
-        "n": stop - start,
-        "tolerance_m": float(result.tolerance_m),
+        "n": int(columns["distance_m"].shape[0]),
+        "tolerance_m": float(tolerance),
         "columns": {
-            name: _encode_column(getattr(result, name)[start:stop])
-            for name in _COLUMNS
+            name: _encode_column(columns[name]) for name in _COLUMNS
         },
     }
 
 
-def _decode_group(body: dict) -> Optional[Tuple[Dict[str, np.ndarray], float]]:
-    """Columns + tolerance from one entry body, or ``None`` if malformed."""
-    try:
-        n = int(body["n"])
-        tolerance = float(body["tolerance_m"])
-        columns = {
-            name: _decode_column(body["columns"][name], n)
-            for name in _COLUMNS
-        }
-    except (KeyError, TypeError, ValueError):
-        return None
-    return columns, tolerance
+def _decode_group(body: dict) -> _Group:
+    """Columns + tolerance from one entry body (raises if malformed)."""
+    n = int(body["n"])
+    columns = {
+        name: _decode_column(body["columns"][name], n) for name in _COLUMNS
+    }
+    return columns, float(body["tolerance_m"])
+
+
+def _decision_group(decision: "OptimalDecision") -> _Group:
+    columns = {name: np.array([getattr(decision, name)]) for name in _COLUMNS}
+    return columns, decision.tolerance_m
 
 
 # ----------------------------------------------------------------------
@@ -226,123 +237,56 @@ def _sweep_group_key(
 
 
 # ----------------------------------------------------------------------
-# Merging machinery shared by the batch and sweep paths
+# The cached group run shared by the batch and sweep paths
 # ----------------------------------------------------------------------
-
-def _assemble(
-    n: int,
-    groups: List[Tuple[int, int]],
-    decoded: List[Optional[Tuple[Dict[str, np.ndarray], float]]],
-    solved: Optional["BatchResult"],
-    missing: List[int],
-) -> "BatchResult":
-    """Merge cached groups and freshly solved groups in request order."""
-    from ..engine.batch import BatchResult
-
-    columns = {name: np.empty(n, dtype=float) for name in _COLUMNS}
-    tolerance = 1e-6
-    cursor = 0
-    for gi, (start, stop) in enumerate(groups):
-        if decoded[gi] is not None:
-            cached_columns, cached_tol = decoded[gi]
-            for name in _COLUMNS:
-                columns[name][start:stop] = cached_columns[name]
-            tolerance = max(tolerance, cached_tol)
-    if solved is not None:
-        tolerance = max(tolerance, solved.tolerance_m)
-        for gi in missing:
-            start, stop = groups[gi]
-            width = stop - start
-            for name in _COLUMNS:
-                columns[name][start:stop] = getattr(solved, name)[
-                    cursor:cursor + width
-                ]
-            cursor += width
-    return BatchResult(tolerance_m=tolerance, **columns)
-
-
-def _fetch_groups(
-    store: ResultStore,
-    keys: List[str],
-    refresh: bool,
-    obs: Optional["ObsContext"],
-) -> List[Optional[Tuple[Dict[str, np.ndarray], float]]]:
-    """Decode every cached group (None = miss), batching LRU touches."""
-    decoded: List[Optional[Tuple[Dict[str, np.ndarray], float]]] = []
-    touched: List[str] = []
-    with _maybe_span(obs, "store.get", groups=len(keys)):
-        for key in keys:
-            if refresh:
-                decoded.append(None)
-                continue
-            body = store.get(key, touch=False)
-            entry = _decode_group(body) if body is not None else None
-            decoded.append(entry)
-            if entry is not None:
-                touched.append(key)
-        if touched:
-            store.touch_many(touched)
-    return decoded
-
-
-def _store_groups(
-    store: ResultStore,
-    keys: List[str],
-    groups: List[Tuple[int, int]],
-    missing: List[int],
-    solved: "BatchResult",
-    obs: Optional["ObsContext"],
-) -> None:
-    """Persist freshly solved groups (sliced out of ``solved``)."""
-    with _maybe_span(obs, "store.put", groups=len(missing)):
-        items = {}
-        cursor = 0
-        for gi in missing:
-            start, stop = groups[gi]
-            width = stop - start
-            items[keys[gi]] = _group_body(solved, cursor, cursor + width)
-            cursor += width
-        store.put_many(items)
-
 
 def _run_groups(
     engine: "BatchSolverEngine",
     store: ResultStore,
     keys: List[str],
     groups: List[Tuple[int, int]],
-    n: int,
-    missing_scenarios_for: "callable",
+    missing_scenarios_for: Callable[[List[int]], List["Scenario"]],
     parallel: Optional[bool],
     obs: Optional["ObsContext"],
     refresh: bool,
 ) -> Tuple["BatchResult", StoreReport]:
-    """The shared fetch → dispatch-missing → merge → persist pipeline.
+    """Serve cached groups, solve the missing ones in one batch, merge.
 
     ``missing_scenarios_for(missing_group_indices)`` materialises the
     scenarios of just the missing groups — for sweeps this is the only
     place variants get constructed, so a fully-warm run never builds
     them at all.
     """
+    from ..engine.batch import BatchResult
+
+    def solve_missing(missing: List[int]) -> List[_Group]:
+        solved = engine.solve_batch(
+            missing_scenarios_for(missing), parallel=parallel, obs=obs
+        )
+        out, cursor = [], 0
+        for gi in missing:
+            stop = cursor + groups[gi][1] - groups[gi][0]
+            columns = {
+                name: getattr(solved, name)[cursor:stop] for name in _COLUMNS
+            }
+            out.append((columns, solved.tolerance_m))
+            cursor = stop
+        return out
+
     before = store.snapshot_counters()
-    decoded = _fetch_groups(store, keys, refresh, obs)
-    missing = [gi for gi, entry in enumerate(decoded) if entry is None]
-    warm_points = sum(
-        groups[gi][1] - groups[gi][0]
-        for gi in range(len(groups))
-        if decoded[gi] is not None
+    values, hits = cached_map(
+        store, keys, solve_missing,
+        encode=_encode_group, decode=_decode_group, refresh=refresh, obs=obs,
     )
-    solved: Optional["BatchResult"] = None
-    if missing:
-        to_solve = missing_scenarios_for(missing)
-        solved = engine.solve_batch(to_solve, parallel=parallel, obs=obs)
-        _store_groups(store, keys, groups, missing, solved, obs)
-    result = _assemble(n, groups, decoded, solved, missing)
-    report = StoreReport(
-        enabled=True,
-        points=n,
-        warm_points=warm_points,
-        entry_hits=len(groups) - len(missing),
-        entry_misses=len(missing),
+    result = BatchResult(
+        tolerance_m=max([1e-6] + [tolerance for _, tolerance in values]),
+        **{
+            name: np.concatenate([columns[name] for columns, _ in values])
+            for name in _COLUMNS
+        },
+    )
+    report = StoreReport.from_hits(
+        [stop - start for start, stop in groups], hits
     )
     record_store_metrics(obs, store, before, report)
     return result, report
@@ -379,25 +323,23 @@ def solve_incremental(
     if point is None:
         return engine.solve(scenario, obs=obs), StoreReport(enabled=False)
     before = store.snapshot_counters()
-    key = _group_key(engine, [point])
-    body = None if refresh else store.get(key)
-    entry = _decode_group(body) if body is not None else None
-    if entry is not None:
-        columns, tolerance = entry
-        decision = OptimalDecision(
+
+    def decode(body: dict) -> "OptimalDecision":
+        columns, tolerance = _decode_group(body)
+        return OptimalDecision(
             tolerance_m=tolerance,
             **{name: float(columns[name][0]) for name in _COLUMNS},
         )
-        report = StoreReport(
-            enabled=True, points=1, warm_points=1, entry_hits=1
-        )
-        record_store_metrics(obs, store, before, report)
-        return decision, report
-    decision = engine.solve(scenario, obs=obs)
-    from ..engine.batch import BatchResult
 
-    store.put(key, _group_body(BatchResult.from_decisions([decision]), 0, 1))
-    report = StoreReport(enabled=True, points=1, entry_misses=1)
+    # Single solves keep the scalar engine path (its own span, memo
+    # counters and decision event) and trace no store I/O spans.
+    [decision], hits = cached_map(
+        store, [_group_key(engine, [point])],
+        lambda _missing: [engine.solve(scenario, obs=obs)],
+        encode=lambda d: _encode_group(_decision_group(d)),
+        decode=decode, refresh=refresh,
+    )
+    report = StoreReport.from_hits([1], hits)
     record_store_metrics(obs, store, before, report)
     return decision, report
 
@@ -432,8 +374,8 @@ def solve_batch_incremental(
         ]
 
     return _run_groups(
-        engine, store, keys, groups, n,
-        missing_scenarios_for, parallel, obs, refresh,
+        engine, store, keys, groups, missing_scenarios_for, parallel, obs,
+        refresh,
     )
 
 
@@ -498,6 +440,6 @@ def sweep_incremental(
         ]
 
     return _run_groups(
-        engine, store, keys, groups, n,
-        missing_scenarios_for, None, obs, refresh,
+        engine, store, keys, groups, missing_scenarios_for, None, obs,
+        refresh,
     )

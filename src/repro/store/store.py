@@ -34,8 +34,9 @@ import json
 import os
 import shutil
 import threading
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .atomic import FileLock, atomic_write_text
 from .fingerprint import canonical_json
@@ -44,6 +45,7 @@ __all__ = [
     "DEFAULT_MAX_BYTES",
     "ResultStore",
     "cache_enabled_by_env",
+    "cached_map",
     "default_cache_dir",
     "default_store",
     "resolve_store",
@@ -235,43 +237,8 @@ class ResultStore:
         return body
 
     def put(self, key: str, body: dict) -> bool:
-        """Store ``body`` under ``key``; evict past the size cap.
-
-        Returns ``True`` when the entry landed on disk.  Any failure
-        (read-only directory, full disk, un-encodable body) is counted
-        and swallowed — persistence is an optimisation, never a
-        correctness dependency.
-        """
-        if self.max_bytes <= 0 or not self._ensure_dirs():
-            return False
-        try:
-            document = canonical_json(
-                {"key": key, "sha256": self._checksum(body), "body": body}
-            )
-        except (TypeError, ValueError):
-            self._count("errors")
-            return False
-        path = self._object_path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(path, document)
-        except OSError:
-            self._count("errors")
-            return False
-        self._count("puts")
-        self._count("bytes_written", len(document))
-        try:
-            with FileLock(self.lock_path):
-                index = self._load_index()
-                entries: Dict[str, Dict[str, int]] = index["entries"]  # type: ignore[assignment]
-                tick = int(index.get("tick", 0)) + 1
-                index["tick"] = tick
-                entries[key] = {"size": len(document), "tick": tick}
-                self._evict_locked(index)
-                self._save_index(index)
-        except OSError:
-            self._count("errors")
-        return True
+        """Store one body; ``True`` when it landed (see :meth:`put_many`)."""
+        return self.put_many({key: body}) == 1
 
     def put_many(self, items: Dict[str, dict]) -> int:
         """Store several bodies with one index update; returns stores.
@@ -279,7 +246,9 @@ class ResultStore:
         Payload files are written (atomically) one by one, then a
         single locked index pass assigns ticks in insertion order and
         runs eviction once — a cold 8k-point sweep costs one index
-        write, not one per group.
+        write, not one per group.  Any failure (read-only directory,
+        full disk, un-encodable body) is counted and swallowed —
+        persistence is an optimisation, never a correctness dependency.
         """
         if self.max_bytes <= 0 or not items or not self._ensure_dirs():
             return 0
@@ -453,6 +422,75 @@ class ResultStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ResultStore({str(self.root)!r}, max_bytes={self.max_bytes})"
+
+
+T = TypeVar("T")
+
+
+def _maybe_span(obs, name: str, **attrs):
+    if obs is not None and obs.tracer is not None:
+        return obs.tracer.span(name, **attrs)
+    return nullcontext()
+
+
+def cached_map(
+    store: Optional[ResultStore],
+    keys: Sequence[Optional[str]],
+    compute: Callable[[List[int]], Sequence[T]],
+    *,
+    encode: Callable[[T], dict],
+    decode: Callable[[dict], T],
+    refresh: bool = False,
+    obs=None,
+) -> Tuple[List[T], List[bool]]:
+    """The one read-through loop behind every store client.
+
+    Each key is read with ``get(touch=False)`` and its body passed to
+    ``decode``; a body ``decode`` rejects (``KeyError``, ``TypeError``
+    or ``ValueError``) is a miss like an absent or corrupt entry.  No
+    store, a ``None`` key or ``refresh=True`` skips the read.
+    ``compute(misses)`` then runs once with every miss index in
+    ascending order and returns their values in that order.  The misses
+    are written with one :meth:`ResultStore.put_many` and the hits
+    refreshed with one :meth:`ResultStore.touch_many`, so a request
+    costs at most two index writes.
+
+    Returns the values in key order plus one hit flag per key.  ``obs``
+    traces the reads as a ``store.get`` span and the writes as a
+    ``store.put`` span.
+    """
+    n = len(keys)
+    values: List = [None] * n
+    hits = [False] * n
+    if store is not None:
+        with _maybe_span(obs, "store.get", groups=n):
+            for i, key in enumerate(keys):
+                body = (
+                    None if refresh or key is None
+                    else store.get(key, touch=False)
+                )
+                if body is None:
+                    continue
+                try:
+                    values[i] = decode(body)
+                except (KeyError, TypeError, ValueError):
+                    continue
+                hits[i] = True
+            store.touch_many([key for key, hit in zip(keys, hits) if hit])
+    misses = [i for i in range(n) if not hits[i]]
+    if misses:
+        for i, value in zip(misses, compute(misses)):
+            values[i] = value
+        if store is not None:
+            with _maybe_span(obs, "store.put", groups=len(misses)):
+                store.put_many(
+                    {
+                        keys[i]: encode(values[i])
+                        for i in misses
+                        if keys[i] is not None
+                    }
+                )
+    return values, hits
 
 
 _DEFAULT_STORES: Dict[str, ResultStore] = {}

@@ -10,9 +10,9 @@ from shard-local streams would change results with ``max_workers``.
 import pytest
 
 from repro.faults import BatchOutageSchedule
+from repro.faults.plan import replica_outage_plan
 from repro.measurements.batch import (
     BatchCampaignConfig,
-    _replica_fault_plan,
     _shard_outages,
     run_campaign,
 )
@@ -26,6 +26,17 @@ FAULTY = BatchCampaignConfig(
     outage_rate_per_s=0.4,
     outage_mean_duration_s=0.5,
 )
+
+
+def _replica_fault_plan(config, g):
+    """Global replica ``g``'s outage plan, as the campaign draws it."""
+    return replica_outage_plan(
+        config.seed,
+        g,
+        horizon_s=config.duration_s,
+        rate_per_s=config.outage_rate_per_s,
+        mean_duration_s=config.outage_mean_duration_s,
+    )
 
 
 class TestConfigValidation:

@@ -89,3 +89,24 @@ class TestConfigSurface:
         assert payload["outputs"]["n_replicas"] == 4
         counters = payload["metrics"]["counters"]
         assert counters["relay.campaign.replicas"] == 4
+
+
+class TestFaultFreeCampaign:
+    def test_default_campaign_runs_and_is_worker_invariant(self):
+        """A zero outage rate samples no plan (it used to raise
+        ``mean_duration_s must be positive``)."""
+        config = RelayCampaignConfig(n_replicas=2)
+        documents = []
+        for parallel, workers in ((False, None), (True, 2)):
+            obs = ObsContext.enabled(deterministic=True)
+            result = run_relay_campaign(
+                config, parallel=parallel, max_workers=workers, obs=obs
+            )
+            assert result.n_replicas == 2
+            assert result.total_resumes == 0
+            assert all(r.byte_ledger_consistent() for r in result.replicas)
+            manifest = relay_campaign_manifest(
+                result, config, obs=obs, git_rev=None
+            )
+            documents.append(manifest.to_json().encode())
+        assert documents[0] == documents[1]
