@@ -49,6 +49,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Any, List, Optional
 
@@ -120,6 +121,36 @@ def _configure_exec(args: argparse.Namespace) -> None:
     )
 
 
+def _finite_float(text: str) -> float:
+    """argparse ``type`` for the decision flags: NaN and ±inf exit 2.
+
+    A non-finite override would otherwise reach the solver and come back
+    as ``NaN``/``Infinity`` in output that claims to be JSON.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}"
+        )
+    return value
+
+
+def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+    """The scenario overrides ``solve`` and ``sweep`` share."""
+    for flag, help_text in (
+        ("--mdata-mb", "override Mdata in MB"),
+        ("--speed", "override cruise speed (m/s)"),
+        ("--rho", "override failure rate (1/m)"),
+        ("--d0", "override contact distance (m)"),
+    ):
+        parser.add_argument(flag, type=_finite_float, help=help_text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree for the ``repro`` CLI."""
     parser = argparse.ArgumentParser(
@@ -138,10 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario", choices=("airplane", "quadrocopter"),
         help="baseline scenario (paper Section 4)",
     )
-    solve.add_argument("--mdata-mb", type=float, help="override Mdata in MB")
-    solve.add_argument("--speed", type=float, help="override cruise speed (m/s)")
-    solve.add_argument("--rho", type=float, help="override failure rate (1/m)")
-    solve.add_argument("--d0", type=float, help="override contact distance (m)")
+    _add_override_flags(solve)
     solve.add_argument(
         "--sensitivity",
         action="store_true",
@@ -182,21 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit comma-separated sweep values",
     )
     sweep.add_argument(
-        "--linspace", nargs=3, type=float, default=None,
+        "--linspace", nargs=3, type=_finite_float, default=None,
         metavar=("START", "STOP", "N"),
         help="N evenly spaced values from START to STOP",
     )
     sweep.add_argument(
-        "--geomspace", nargs=3, type=float, default=None,
+        "--geomspace", nargs=3, type=_finite_float, default=None,
         metavar=("START", "STOP", "N"),
         help="N geometrically spaced values from START to STOP",
     )
-    sweep.add_argument("--mdata-mb", type=float, help="override Mdata in MB")
-    sweep.add_argument("--speed", type=float,
-                       help="override cruise speed (m/s)")
-    sweep.add_argument("--rho", type=float, help="override failure rate (1/m)")
-    sweep.add_argument("--d0", type=float,
-                       help="override contact distance (m)")
+    _add_override_flags(sweep)
     sweep.add_argument(
         "--json", action="store_true",
         help="print the run manifest as one JSON object",
@@ -330,15 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: quadrocopter,airplane)",
     )
     relay.add_argument(
-        "--handoff", type=float, default=5.0, metavar="S",
+        "--handoff", type=_finite_float, default=5.0, metavar="S",
         help="hand-off overhead per relay boundary in seconds (default: 5)",
     )
     relay.add_argument(
-        "--deadline", type=float, default=None, metavar="S",
+        "--deadline", type=_finite_float, default=None, metavar="S",
         help="end-to-end delivery deadline in seconds (default: none)",
     )
     relay.add_argument(
-        "--mdata-mb", type=float, default=None, metavar="MB",
+        "--mdata-mb", type=_finite_float, default=None, metavar="MB",
         help="payload carried through the chain (default: first hop's)",
     )
     relay.add_argument(

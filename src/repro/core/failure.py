@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Protocol
 
-from scipy import integrate
-
 from ..airframe.platform import PlatformSpec
 
 __all__ = [
@@ -76,6 +74,8 @@ class NonStationaryFailure:
         d = _check_distance(travelled_m)
         if d <= 0.0:
             return 1.0
+        from scipy import integrate
+
         hazard, _ = integrate.quad(self._rate_fn, 0.0, d, limit=200)
         if hazard < 0:
             raise ValueError("integrated hazard is negative; check rate_fn")

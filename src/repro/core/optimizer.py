@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .utility import DelayedGratificationUtility, UtilityBreakdown
 
@@ -139,6 +138,11 @@ class DistanceOptimizer:
             if hi - lo <= self.refine_tolerance_m:
                 best = float(grid[k])
             else:
+                # Imported here, not at module level, so processes that
+                # never refine (CLI decisions go through the batch
+                # engine) do not pay SciPy's import time.
+                from scipy import optimize as sciopt
+
                 res = sciopt.minimize_scalar(
                     lambda d: -u(float(d)),
                     bounds=(float(lo), float(hi)),

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .optimizer import DistanceOptimizer, OptimalDecision
+from .optimizer import OptimalDecision
 from .scenario import Scenario
 
 __all__ = ["DeliveryRound", "MissionSchedule", "MultiBatchScheduler"]
@@ -97,7 +97,6 @@ class MultiBatchScheduler:
         )
         if self.range_budget_m <= 0:
             raise ValueError("range budget must be positive")
-        self._optimizer: DistanceOptimizer = scenario.optimizer()
 
     # ------------------------------------------------------------------
     def plan(self, n_batches: int) -> MissionSchedule:

@@ -16,7 +16,9 @@ pass:
    the hot path).
 3. **SciPy fallback** — instances whose refinement loses to their grid
    candidate (the non-concave edge cases the paper warns about) are
-   re-solved with the scalar optimiser.
+   re-solved with the scalar optimiser.  With ``obs`` metrics on, each
+   re-solve counts in ``engine.fallbacks`` (registered only when one
+   fires, so fallback-free manifests carry no such counter).
 4. **Memoisation** — solved instances are cached by their full
    parameter tuple in an LRU, so planners re-solving the same geometry
    and repeated sweeps cost one hash lookup.
@@ -240,20 +242,22 @@ class BatchSolverEngine:
         leaves the solve path untouched.
         """
         if obs is None:
-            decision, _ = self._solve_one(scenario)
+            decision, _, _ = self._solve_one(scenario)
             return decision
         span = None
         if obs.tracer is not None:
             span = obs.tracer.span("engine.solve")
             span.__enter__()
         try:
-            decision, hit = self._solve_one(scenario)
+            decision, hit, fallbacks = self._solve_one(scenario)
         finally:
             if span is not None:
                 span.__exit__(None, None, None)
         if obs.metrics is not None:
             name = "engine.cache.hits" if hit else "engine.cache.misses"
             obs.metrics.counter(name).inc()
+            if fallbacks:
+                obs.metrics.counter("engine.fallbacks").inc(fallbacks)
         if obs.events is not None:
             obs.events.emit(
                 "decision.eq2",
@@ -266,17 +270,17 @@ class BatchSolverEngine:
 
     def _solve_one(
         self, scenario: "Scenario"
-    ) -> Tuple[OptimalDecision, bool]:
-        """One memoised solve; returns ``(decision, was_cache_hit)``."""
+    ) -> Tuple[OptimalDecision, bool, int]:
+        """One memoised solve: ``(decision, was_cache_hit, fallbacks)``."""
         key = self._key(scenario)
         if key is not None:
             cached = self._cache.get(key)
             if cached is not None:
-                return cached, True
-        decision = self._solve_chunk([scenario])[0]
+                return cached, True, 0
+        decisions, fallbacks = self._solve_chunk([scenario])
         if key is not None:
-            self._cache.put(key, decision)
-        return decision, False
+            self._cache.put(key, decisions[0])
+        return decisions[0], False, fallbacks
 
     def solve_batch(
         self,
@@ -308,6 +312,7 @@ class BatchSolverEngine:
         results: List[Optional[OptimalDecision]] = [None] * len(scenario_list)
         keys = [self._key(s) for s in scenario_list]
         miss_idx = []
+        fallbacks = 0
         for i, key in enumerate(keys):
             cached = self._cache.get(key) if key is not None else None
             if cached is not None:
@@ -334,7 +339,8 @@ class BatchSolverEngine:
                 )
             else:
                 solved_chunks = [self._solve_chunk(chunk) for chunk in chunks]
-            solved = [d for chunk in solved_chunks for d in chunk]
+            solved = [d for chunk, _ in solved_chunks for d in chunk]
+            fallbacks = sum(n for _, n in solved_chunks)
             for i, decision in zip(miss_idx, solved):
                 results[i] = decision
                 if keys[i] is not None:
@@ -347,6 +353,8 @@ class BatchSolverEngine:
                 metrics.counter("engine.cache.hits").inc(hits)
             if miss_idx:
                 metrics.counter("engine.cache.misses").inc(len(miss_idx))
+            if fallbacks:
+                metrics.counter("engine.fallbacks").inc(fallbacks)
             metrics.counter("engine.batches").inc()
             metrics.histogram(
                 "engine.batch.size", _BATCH_SIZE_EDGES
@@ -452,8 +460,12 @@ class BatchSolverEngine:
 
     def _solve_chunk(
         self, scenarios: Sequence["Scenario"]
-    ) -> List[OptimalDecision]:
-        """Vectorised grid scan + bisection for one chunk of scenarios."""
+    ) -> Tuple[List[OptimalDecision], int]:
+        """Vectorised grid scan + bisection for one chunk of scenarios.
+
+        Returns the decisions and how many rows took the scalar
+        fallback.
+        """
         for s in scenarios:
             if s.cruise_speed_mps <= 0:
                 raise ValueError("speed must be positive (Eq. 2 constraint)")
@@ -551,9 +563,10 @@ class BatchSolverEngine:
             )
             for i in range(len(params))
         ]
-        for i in np.nonzero(suspect)[0]:
+        fallback_rows = np.nonzero(suspect)[0]
+        for i in fallback_rows:
             decisions[i] = self._scalar_solve(scenarios[i])
-        return decisions
+        return decisions, len(fallback_rows)
 
     def _scalar_solve(self, scenario: "Scenario") -> OptimalDecision:
         """The scalar SciPy-refined path (non-concave fallback)."""

@@ -10,13 +10,6 @@ See ``docs/ROBUSTNESS.md`` for the fault taxonomy and the determinism
 guarantees.
 """
 
-from ..net.retry import ExponentialBackoff, RetryPolicy
-from .injector import (
-    FaultInjector,
-    sample_crash_distance_for_platform,
-    sample_crash_distance_m,
-)
-from .outage import BatchOutageSchedule, OutageSchedule
 from .plan import FAULT_KINDS, FaultPlan, FaultSpec
 
 __all__ = [
@@ -34,18 +27,40 @@ __all__ = [
     "run_chaos",
 ]
 
-#: Chaos-runner symbols resolved lazily (PEP 562): ``chaos`` pulls in
-#: ``repro.api`` and the mission layer, which themselves import this
-#: package for :class:`FaultPlan` — eager import would cycle.
-_LAZY = {"ChaosResult", "run_chaos"}
+#: Symbols resolved lazily (PEP 562), by defining submodule.  Only
+#: ``plan`` loads eagerly: the API needs :class:`FaultPlan`, while the
+#: schedules, the injector and the retry policies pull in the link
+#: stack.  ``chaos`` pulls in ``repro.api`` and the mission layer, which
+#: themselves import this package for :class:`FaultPlan` — eager import
+#: would cycle.
+_LAZY = {
+    "OutageSchedule": "outage",
+    "BatchOutageSchedule": "outage",
+    "FaultInjector": "injector",
+    "sample_crash_distance_m": "injector",
+    "sample_crash_distance_for_platform": "injector",
+    "ExponentialBackoff": "retry",
+    "RetryPolicy": "retry",
+    "ChaosResult": "chaos",
+    "run_chaos": "chaos",
+}
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
-        from . import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    submodule = _LAZY.get(name)
+    if submodule == "outage":
+        from . import outage as module
+    elif submodule == "injector":
+        from . import injector as module
+    elif submodule == "retry":
+        from ..net import retry as module
+    elif submodule == "chaos":
+        from . import chaos as module
+    else:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    return getattr(module, name)
 
 
 def __dir__():

@@ -1,20 +1,11 @@
-"""Measurement campaigns, boxplot statistics, fits, paper datasets."""
+"""Measurement campaigns, boxplot statistics, fits, paper datasets.
 
-from .batch import (
-    BatchCampaignConfig,
-    BatchCampaignResult,
-    profile_by_name,
-    run_campaign,
-    run_scalar_reference,
-)
-from .campaign import (
-    AirplaneFlybyCampaign,
-    CampaignResult,
-    QuadApproachCampaign,
-    QuadHoverCampaign,
-    QuadSpeedCampaign,
-    default_controller_factory,
-)
+``datasets`` and ``fitting`` load eagerly: the solver reads the paper's
+fits from here.  The campaign modules (``batch``, ``campaign``,
+``validate``) pull in the whole link stack, so their symbols resolve
+lazily (PEP 562) and a cold decision never imports them.
+"""
+
 from .datasets import (
     AIRPLANE_FIT,
     AIRPLANE_RELATIVE_SPEED_RANGE_MPS,
@@ -38,7 +29,6 @@ from .datasets import (
     QUADROCOPTER_FIT,
 )
 from .fitting import Log2Fit, fit_log2, r_squared
-from .validate import CalibrationCheck, CalibrationReport, validate_calibration
 
 __all__ = [
     "BatchCampaignConfig",
@@ -79,3 +69,40 @@ __all__ = [
     "CalibrationReport",
     "validate_calibration",
 ]
+
+#: Campaign symbols resolved lazily, by defining submodule.
+_LAZY = {
+    "BatchCampaignConfig": "batch",
+    "BatchCampaignResult": "batch",
+    "profile_by_name": "batch",
+    "run_campaign": "batch",
+    "run_scalar_reference": "batch",
+    "AirplaneFlybyCampaign": "campaign",
+    "CampaignResult": "campaign",
+    "QuadApproachCampaign": "campaign",
+    "QuadHoverCampaign": "campaign",
+    "QuadSpeedCampaign": "campaign",
+    "default_controller_factory": "campaign",
+    "CalibrationCheck": "validate",
+    "CalibrationReport": "validate",
+    "validate_calibration": "validate",
+}
+
+
+def __getattr__(name: str):
+    submodule = _LAZY.get(name)
+    if submodule == "batch":
+        from . import batch as module
+    elif submodule == "campaign":
+        from . import campaign as module
+    elif submodule == "validate":
+        from . import validate as module
+    else:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted(__all__)

@@ -12,27 +12,19 @@ UAVs (see ``docs/API.md``, "Relay chains"):
   execution with checkpoint/resume at interrupted hops;
 * :func:`run_relay_campaign` — replicated outage campaigns with
   worker-count-invariant results.
+
+The transfer and campaign modules run the link stack, so their symbols
+resolve lazily (PEP 562): a relay decision never imports them.
 """
 
 from .batch import BatchRelayResult, BatchRelaySolver
 from .chain import RelayChain, RelayHop
-from .campaign import (
-    RelayCampaignConfig,
-    RelayCampaignResult,
-    relay_campaign_manifest,
-    run_relay_campaign,
-)
 from .solver import (
     HOP_POLICIES,
     HopChoice,
     RelayDecision,
     RelaySolver,
     relay_manifest,
-)
-from .transfer import (
-    RelayHopReport,
-    RelayTransferResult,
-    run_relay_transfer,
 )
 
 __all__ = [
@@ -53,3 +45,31 @@ __all__ = [
     "run_relay_campaign",
     "run_relay_transfer",
 ]
+
+#: Execution symbols resolved lazily, by defining submodule.
+_LAZY = {
+    "RelayCampaignConfig": "campaign",
+    "RelayCampaignResult": "campaign",
+    "relay_campaign_manifest": "campaign",
+    "run_relay_campaign": "campaign",
+    "RelayHopReport": "transfer",
+    "RelayTransferResult": "transfer",
+    "run_relay_transfer": "transfer",
+}
+
+
+def __getattr__(name: str):
+    submodule = _LAZY.get(name)
+    if submodule == "campaign":
+        from . import campaign as module
+    elif submodule == "transfer":
+        from . import transfer as module
+    else:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted(__all__)

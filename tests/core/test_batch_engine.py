@@ -129,6 +129,54 @@ class TestBatchMatchesScalar:
             engine.solve_batch([airplane_scenario().with_(data_bits=0.0)])
 
 
+class SpikedThroughput:
+    """Smooth decay plus a 1 cm-wide tripling spike at 100 m.
+
+    Not a log-fit law, and multi-peaked: the dense grid lands on the
+    spike, but the bracket bisection cannot see it and loses utility
+    against the grid candidate, so the engine must fall back to the
+    scalar optimiser for this row.
+    """
+
+    def throughput_bps(self, distance_m):
+        base = 20e6 - 2e6 * np.log2(distance_m)
+        return base * (1.0 + 2.0 * np.exp(-((distance_m - 100.0) / 0.01) ** 2))
+
+    def throughput_bps_moving(self, distance_m, speed_mps):
+        return self.throughput_bps(distance_m)
+
+
+class TestScalarFallback:
+    def test_suspect_row_takes_scalar_path_and_is_counted(self):
+        from repro.obs import ObsContext
+
+        engine = fresh_engine()
+        spiked = airplane_scenario().with_(throughput=SpikedThroughput())
+        obs = ObsContext.enabled()
+        batch = engine.solve_batch([airplane_scenario(), spiked], obs=obs)
+        assert batch[1] == scalar_reference(spiked, engine)
+        assert batch[1].distance_m == pytest.approx(100.0, abs=1e-6)
+        assert obs.metrics.value("engine.fallbacks") == 1
+
+    def test_single_solve_counts_fallback(self):
+        from repro.obs import ObsContext
+
+        obs = ObsContext.enabled()
+        spiked = airplane_scenario().with_(throughput=SpikedThroughput())
+        fresh_engine().solve(spiked, obs=obs)
+        assert obs.metrics.value("engine.fallbacks") == 1
+
+    def test_no_counter_without_fallback(self):
+        from repro.obs import ObsContext
+
+        obs = ObsContext.enabled()
+        fresh_engine().solve_batch(
+            [airplane_scenario(), quadrocopter_scenario()], obs=obs
+        )
+        fresh_engine().solve(airplane_scenario(), obs=obs)
+        assert "engine.fallbacks" not in obs.metrics
+
+
 class TestBatchResult:
     def test_container_protocols(self):
         batch = fresh_engine().solve_batch(

@@ -29,6 +29,33 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["solve", "airplane", "--rho", "nan", "--json"], "--rho"),
+            (["solve", "airplane", "--speed", "inf", "--json"], "--speed"),
+            (
+                ["sweep", "airplane", "--param", "mdata_mb",
+                 "--linspace", "1", "nan", "5", "--json"],
+                "--linspace",
+            ),
+            (["relay", "--deadline=-inf", "--json"], "--deadline"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be a finite number" in captured.err
+
+    def test_unparseable_number_still_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "airplane", "--d0", "far"])
+        assert exit_info.value.code == 2
+        assert "invalid float value: 'far'" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_solve_quadrocopter(self, capsys):
